@@ -23,19 +23,24 @@ namespace mem {
 /// Budget-respecting sort. Three regimes:
 ///
 ///   1. No (or unlimited) budget: plain ParallelSort.
-///   2. Budget grants the n-element merge buffer: in-memory ParallelSort
-///      with the buffer and scratch accounted.
-///   3. Budget denies the buffer and spilling is allowed: external sort —
-///      the array is cut into budget-sized chunks, each chunk is sorted in
-///      place (ParallelSortRange over a smaller reserved scratch) and
-///      written to a spill file as a sorted run, then the runs are streamed
+///   2. Budget grants the n-element merge buffer plus the sort's OVC code
+///      arrays (internal_sort::SortRangeCodeBytes; 0 unless the coded
+///      kernel runs): in-memory ParallelSort with buffer, codes and
+///      scratch accounted.
+///   3. Budget denies them and spilling is allowed: external sort — the
+///      array is cut into budget-sized chunks, each chunk is sorted in
+///      place (ParallelSortRange over a smaller scratch, reserved together
+///      with the chunk's code arrays) and written to a spill file as a
+///      sorted run, then the runs are streamed
 ///      back through the same loser-tree kernel the in-memory merge uses
 ///      (RunReaders refill page-wise; ties break toward the lower run, i.e.
 ///      the lower original chunk, so the result is identical to regime 1/2
 ///      for the strict total orders all call sites use).
 ///
 /// Regime 3 requires T trivially copyable (rows are written to disk raw);
-/// non-trivially-copyable inputs degrade to regime 2 with ForceReserve.
+/// non-trivially-copyable inputs, and any input when spilling is off,
+/// degrade to regime 2 with the merge buffer ForceReserved and the code
+/// arrays only if the budget grants them (else the uncoded merge runs).
 ///
 /// `use_ovc` opts the in-memory sorts and the regime-3 run merge into the
 /// offset-value-coded kernel (see ParallelSortRange); only the in-run
@@ -58,48 +63,57 @@ Status SortWithBudget(std::vector<T>& data, Less less, ThreadPool& pool,
     return CheckStop();
   }
 
-  // Regime 2: the whole merge buffer fits.
+  // Regime 2: the whole merge buffer and the code arrays fit.
   MemoryReservation buffer_bytes;
-  if (buffer_bytes.Reserve(budget, n * sizeof(T)).ok()) {
+  const size_t code_bytes =
+      internal_sort::SortRangeCodeBytes<T>(n, pool, run_size, use_ovc);
+  if (buffer_bytes.Reserve(budget, n * sizeof(T) + code_bytes).ok()) {
     std::vector<T> buffer(n);
     ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
                       buffer.data(), budget, use_ovc);
     return CheckStop();
   }
 
-  if constexpr (!std::is_trivially_copyable_v<T>) {
-    // Cannot serialize rows; degrade to accounted in-memory sort.
+  // No out-of-core alternative (rows cannot be serialized, or spilling is
+  // off): the merge buffer is forced. The code arrays have one — the
+  // uncoded merge — so they are taken only if the budget grants them.
+  auto sort_in_memory_forced = [&] {
     buffer_bytes.ForceReserve(budget, n * sizeof(T));
+    const bool codes_granted = buffer_bytes.Reserve(budget, code_bytes).ok();
     std::vector<T> buffer(n);
     ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
-                      buffer.data(), budget, use_ovc);
+                      buffer.data(), budget, use_ovc && codes_granted);
     return Status::OK();
+  };
+
+  if constexpr (!std::is_trivially_copyable_v<T>) {
+    return sort_in_memory_forced();
   } else {
-    if (!ctx.allow_spill) {
-      buffer_bytes.ForceReserve(budget, n * sizeof(T));
-      std::vector<T> buffer(n);
-      ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
-                        buffer.data(), budget, use_ovc);
-      return Status::OK();
-    }
+    if (!ctx.allow_spill) return sort_in_memory_forced();
 
     // Regime 3: external sort.
     //
-    // Chunk sizing: each chunk needs an equal-sized sort scratch, so aim
-    // for available/2 bytes per chunk, clamped to [run_size, n/2] elements
-    // (at least two chunks — TryReserve(n bytes) just failed, so
-    // available < n*sizeof(T) and the clamp is consistent).
+    // Chunk sizing: each chunk needs an equal-sized sort scratch plus its
+    // code arrays (code_bytes / n per element when the coded kernel runs),
+    // so aim for half of what is available, clamped to [run_size, n/2]
+    // elements (at least two chunks — the regime-2 reservation just
+    // failed, so available < n*(sizeof(T) + code bytes per element) and
+    // the clamp is consistent).
     const size_t avail = budget->available_bytes();
-    size_t chunk_elems = avail / (2 * sizeof(T));
+    size_t chunk_elems = avail / (2 * sizeof(T) + code_bytes / n);
     chunk_elems = std::max(chunk_elems, run_size);
     chunk_elems = std::min(chunk_elems, (n + 1) / 2);
     const size_t num_chunks = (n + chunk_elems - 1) / chunk_elems;
 
+    const size_t chunk_bytes =
+        chunk_elems * sizeof(T) +
+        internal_sort::SortRangeCodeBytes<T>(chunk_elems, pool, run_size,
+                                             use_ovc);
     MemoryReservation chunk_scratch_bytes;
-    if (!chunk_scratch_bytes.Reserve(budget, chunk_elems * sizeof(T)).ok()) {
+    if (!chunk_scratch_bytes.Reserve(budget, chunk_bytes).ok()) {
       // The budget is too small even for the chunk scratch; progress beats
       // failure — take the bytes and let the overshoot counter show it.
-      chunk_scratch_bytes.ForceReserve(budget, chunk_elems * sizeof(T));
+      chunk_scratch_bytes.ForceReserve(budget, chunk_bytes);
     }
     std::vector<T> chunk_scratch(chunk_elems);
 

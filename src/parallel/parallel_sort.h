@@ -107,6 +107,27 @@ constexpr size_t LoserTreeScratchBytes() {
          (sizeof(T) + 2 * sizeof(uint32_t) + sizeof(unsigned char) + 16);
 }
 
+/// Bytes of offset-value code arrays that ParallelSortRange allocates for
+/// an n-element sort with these arguments: two n-element code buffers when
+/// the coded kernel runs, 0 when it does not (short or worker-less sorts
+/// run introsort in place; types without OvcTraits, or builds without
+/// 128-bit integers, take the uncoded merge). ParallelSortRange's callers
+/// account these bytes together with the merge buffer they pass in.
+template <typename T>
+size_t SortRangeCodeBytes([[maybe_unused]] size_t n,
+                          [[maybe_unused]] const ThreadPool& pool,
+                          [[maybe_unused]] size_t run_size,
+                          [[maybe_unused]] bool use_ovc) {
+#if defined(HWF_HAS_OVC)
+  if constexpr (kHasOvcTraits<T>) {
+    if (use_ovc && n > run_size && pool.num_workers() > 0) {
+      return 2 * n * sizeof(OvcCode);
+    }
+  }
+#endif
+  return 0;
+}
+
 #if defined(HWF_HAS_OVC)
 
 /// Byte estimate of one coded merge task's loser-tree internals — the
@@ -128,14 +149,14 @@ constexpr size_t OvcLoserTreeScratchBytes() {
 /// of its output).
 ///
 /// Only valid when `less` orders exactly like OvcTraits<T>'s word
-/// sequence; callers opt in explicitly via use_ovc.
+/// sequence; callers opt in explicitly via use_ovc. The two code arrays
+/// are the caller's to account (SortRangeCodeBytes); per-task scratch is
+/// charged to `budget` here.
 template <typename T, typename Less>
 void OvcSortRange(T* data, size_t n, Less less, ThreadPool& pool,
                   size_t run_size, PartitionScheme scheme, T* scratch,
                   mem::MemoryBudget* budget) {
   HWF_TRACE_SCOPE_ARG("sort.ovc_sort", "n", n);
-  mem::MemoryReservation code_bytes;
-  code_bytes.ForceReserve(budget, 2 * n * sizeof(OvcCode));
   // Default-initialized on purpose: zeroing 2n codes is a full extra pass
   // over memory, and phase 1 / each merge round overwrite every slot
   // before it is read.
@@ -276,7 +297,8 @@ void OvcSortRange(T* data, size_t n, Less less, ThreadPool& pool,
 /// output, fewer full-key comparisons. Callers must only pass use_ovc for
 /// comparators that order exactly like the OVC word sequence; without
 /// 128-bit integer support the flag is ignored and the uncoded reference
-/// path runs.
+/// path runs. The coded kernel's two code arrays are accounted by the
+/// caller, like `scratch`: see internal_sort::SortRangeCodeBytes.
 template <typename T, typename Less>
 void ParallelSortRange(T* data, size_t n, Less less, ThreadPool& pool,
                        size_t run_size, PartitionScheme scheme, T* scratch,
@@ -415,9 +437,10 @@ void ParallelSortRange(T* data, size_t n, Less less, ThreadPool& pool,
 /// total order (e.g., break ties on a row id), which all library call
 /// sites do.
 ///
-/// When `budget` is non-null the merge buffer and per-task scratch are
-/// accounted against it (ForceReserve — this entry point never spills; use
-/// mem::SortWithBudget for the budget-respecting external path).
+/// When `budget` is non-null the merge buffer, the OVC code arrays and
+/// per-task scratch are accounted against it (ForceReserve — this entry
+/// point never spills; use mem::SortWithBudget for the budget-respecting
+/// external path).
 template <typename T, typename Less>
 void ParallelSort(std::vector<T>& data, Less less,
                   ThreadPool& pool = ThreadPool::Default(),
@@ -431,7 +454,9 @@ void ParallelSort(std::vector<T>& data, Less less,
     return;
   }
   mem::MemoryReservation buffer_bytes;
-  buffer_bytes.ForceReserve(budget, n * sizeof(T));
+  buffer_bytes.ForceReserve(
+      budget, n * sizeof(T) + internal_sort::SortRangeCodeBytes<T>(
+                                  n, pool, run_size, use_ovc));
   std::vector<T> buffer(n);
   ParallelSortRange(data.data(), n, less, pool, run_size, scheme,
                     buffer.data(), budget, use_ovc);

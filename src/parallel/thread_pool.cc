@@ -36,8 +36,7 @@ ThreadPool& ThreadPool::Default() {
   static ThreadPool* pool = [] {
     int threads = 0;
     if (const char* env = std::getenv("HWF_THREADS")) {
-      threads = std::atoi(env);
-      if (threads < 0) threads = 0;
+      threads = std::atoi(env);  // negative: worker-less, as in the ctor
     }
     return new ThreadPool(threads);
   }();
@@ -99,18 +98,20 @@ void TaskGroup::Run(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(pool_.mutex_);
     ++pending_;
   }
-  pool_.Submit([this, task = std::move(task)] {
+  pool_.Submit([this, &pool = pool_, task = std::move(task)] {
     task();
     bool done;
     {
-      std::lock_guard<std::mutex> lock(pool_.mutex_);
+      std::lock_guard<std::mutex> lock(pool.mutex_);
       done = --pending_ == 0;
     }
-    // The waiter checks pending_ under pool_.mutex_, so notifying after the
-    // unlock cannot lose a wakeup. Broadcast only on the group's last task:
-    // the waiter shares the pool's condition variable, so notify_one could
-    // hand the wakeup to an idle worker instead.
-    if (done) pool_.cv_.notify_all();
+    // Once pending_ is released the waiter may return and destroy this
+    // TaskGroup, so from here on only the captured pool reference is used,
+    // never a member. The waiter checks pending_ under pool.mutex_, so
+    // notifying after the unlock cannot lose a wakeup. Broadcast only on the
+    // group's last task: the waiter shares the pool's condition variable, so
+    // notify_one could hand the wakeup to an idle worker instead.
+    if (done) pool.cv_.notify_all();
   });
 }
 

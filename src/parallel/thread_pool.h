@@ -35,8 +35,9 @@ class ThreadPool {
   ~ThreadPool();
 
   /// Process-wide default pool. Worker count can be overridden with the
-  /// HWF_THREADS environment variable (useful for exercising multi-threaded
-  /// code paths on machines with few cores).
+  /// HWF_THREADS environment variable, read as the constructor's argument
+  /// (useful for exercising multi-threaded code paths on machines with few
+  /// cores, or, negative, for a worker-less serial pool).
   static ThreadPool& Default();
 
   /// Number of worker threads (excluding the caller thread).

@@ -239,6 +239,57 @@ TEST(ExternalSort, UnlimitedBudgetSortsInMemory) {
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
 }
 
+#if defined(HWF_HAS_OVC)
+// Trivially copyable (spillable) record that opts into the coded kernel,
+// shaped like the executor's sort records.
+struct OvcRec {
+  uint64_t key;
+  uint64_t row;
+  bool operator<(const OvcRec& other) const {
+    return key != other.key ? key < other.key : row < other.row;
+  }
+  bool operator==(const OvcRec& other) const {
+    return key == other.key && row == other.row;
+  }
+  static constexpr size_t kOvcWords = 2;
+  uint64_t OvcWord(size_t w) const { return w == 0 ? key : row; }
+};
+
+TEST(ExternalSort, BudgetCoversOvcCodeArraysOnWorkerPools) {
+  // The coded kernel allocates two OvcCode arrays next to the merge buffer
+  // only when the pool has workers, so an explicit multi-worker pool pins
+  // it on any host. The limit admits the buffer but not buffer + codes,
+  // with spilling (external sort) and without (in-memory degrade).
+  const size_t n = 200000;
+  std::vector<OvcRec> input(n);
+  Pcg32 rng(5);
+  for (size_t i = 0; i < n; ++i) input[i] = {rng.Bounded(1000), i};
+  const auto less = [](const OvcRec& a, const OvcRec& b) { return a < b; };
+  ThreadPool pool(3);
+
+  std::vector<OvcRec> expected = input;
+  ASSERT_TRUE(SortWithBudget(expected, less, pool, MemoryContext{},
+                             kDefaultMorselSize, PartitionScheme::kThreeWay,
+                             /*use_ovc=*/true)
+                  .ok());
+
+  const size_t limit = n * (sizeof(OvcRec) + sizeof(OvcCode));
+  for (bool allow_spill : {true, false}) {
+    SCOPED_TRACE(allow_spill ? "spill allowed" : "spill disallowed");
+    std::vector<OvcRec> data = input;
+    MemoryBudget budget(limit);
+    MemoryContext ctx{&budget, allow_spill, nullptr};
+    Status status =
+        SortWithBudget(data, less, pool, ctx, kDefaultMorselSize,
+                       PartitionScheme::kThreeWay, /*use_ovc=*/true);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_LE(budget.peak_reserved_bytes(), limit);
+    EXPECT_EQ(budget.reserved_bytes(), 0u);
+    EXPECT_TRUE(data == expected);
+  }
+}
+#endif  // HWF_HAS_OVC
+
 TEST(ParseMemorySize, AcceptsSuffixesRejectsGarbage) {
   size_t bytes = 0;
   EXPECT_TRUE(ParseMemorySize("65536", &bytes));

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -15,7 +16,8 @@ namespace hwf {
 namespace {
 
 TEST(ThreadPool, ZeroWorkersStillRunsViaCaller) {
-  ThreadPool pool(0);
+  // A negative count is the worker-less pool (0 means the hardware default).
+  ThreadPool pool(-1);
   EXPECT_EQ(pool.num_workers(), 0);
   EXPECT_EQ(pool.parallelism(), 1);
   std::atomic<int> counter{0};
@@ -35,6 +37,42 @@ TEST(ThreadPool, TaskGroupJoinsAllTasks) {
     group.Wait();
     EXPECT_EQ(counter.load(), 50);
   }
+}
+
+// Overwrites the stack just below the caller's frame, where the previous
+// ParallelFor kept its TaskGroup, so a worker that still reads the group
+// after the waiter has returned sees clobbered bytes (and ASan reports it).
+[[gnu::noinline]] void ScribbleStack() {
+  volatile unsigned char buffer[4096];
+  for (size_t i = 0; i < sizeof(buffer); ++i) buffer[i] = 0xA5;
+}
+
+TEST(ThreadPool, TaskGroupOutlivedByNoTask) {
+  // Many short ParallelFor rounds from several callers: the last task of a
+  // group finishes while its waiter is about to return and destroy the
+  // stack TaskGroup, so a completion path that touches the group after
+  // releasing pending_ races with that destruction.
+  ThreadPool pool(4);
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 20000;
+  std::atomic<long> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        ParallelFor(
+            0, 64,
+            [&](size_t lo, size_t hi) {
+              total.fetch_add(static_cast<long>(hi - lo),
+                              std::memory_order_relaxed);
+            },
+            pool, /*morsel_size=*/1);
+        ScribbleStack();
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(total.load(), long{kCallers} * kRounds * 64);
 }
 
 TEST(ParallelFor, CoversEveryElementExactlyOnce) {
