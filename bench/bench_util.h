@@ -4,13 +4,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "obs/histogram.h"
 #include "obs/profile.h"
+#include "parallel/thread_pool.h"
 #include "storage/table.h"
 #include "window/executor.h"
 
@@ -93,6 +98,9 @@ inline std::string HistogramQuantilesJson(const obs::HistogramSnapshot& snap,
 ///
 /// File schema:
 ///   {"bench": <name>, "scale": <HWF_BENCH_SCALE>,
+///    "host": {"cores": <hardware threads>, "physical_cores": <cores with
+///             SMT siblings counted once, 0 if unknown>, "pool_workers":
+///             <default pool workers, HWF_THREADS>},
 ///    "entries": [{"label": ..., <metrics...>, "profile": {...}}, ...]}
 class BenchJson {
  public:
@@ -128,7 +136,8 @@ class BenchJson {
     std::string body = "{\"bench\": \"" + bench_name_ + "\"";
     char scale[32];
     std::snprintf(scale, sizeof scale, "%.3f", Scale());
-    body += std::string(", \"scale\": ") + scale + ",\n \"entries\": [";
+    body += std::string(", \"scale\": ") + scale + ",\n " + HostJson() +
+            ",\n \"entries\": [";
     for (size_t i = 0; i < entries_.size(); ++i) {
       body += (i == 0 ? "\n  " : ",\n  ") + entries_[i];
     }
@@ -149,6 +158,39 @@ class BenchJson {
   }
 
  private:
+  /// The machine and pool the numbers were taken on: multi-core figures
+  /// only compare between runs with the same cores and pool size.
+  static std::string HostJson() {
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "\"host\": {\"cores\": %u, \"physical_cores\": %d, "
+                  "\"pool_workers\": %d}",
+                  std::thread::hardware_concurrency(), PhysicalCores(),
+                  ThreadPool::Default().num_workers());
+    return buf;
+  }
+
+  /// Distinct (package, core) pairs in the Linux CPU topology, so SMT
+  /// siblings count once; 0 where the topology cannot be read.
+  static int PhysicalCores() {
+    std::set<std::pair<int, int>> cores;
+    std::error_code ec;
+    for (const auto& cpu : std::filesystem::directory_iterator(
+             "/sys/devices/system/cpu", ec)) {
+      const std::string name = cpu.path().filename().string();
+      if (name.size() < 4 || name.compare(0, 3, "cpu") != 0 ||
+          name.find_first_not_of("0123456789", 3) != std::string::npos) {
+        continue;
+      }
+      int package = -1;
+      int core = -1;
+      std::ifstream(cpu.path() / "topology/physical_package_id") >> package;
+      std::ifstream(cpu.path() / "topology/core_id") >> core;
+      if (package >= 0 && core >= 0) cores.emplace(package, core);
+    }
+    return static_cast<int>(cores.size());
+  }
+
   std::string bench_name_;
   std::vector<std::string> entries_;
 };

@@ -1,11 +1,87 @@
 #include "obs/counters.h"
 
+#include <algorithm>
+#include <mutex>
+#include <vector>
+
 namespace hwf {
 namespace obs {
 
 namespace internal_counters {
+namespace {
 
-Slot g_counters[kNumCounters];
+/// Every live shard plus the totals of shards whose threads have exited.
+/// Leaked on purpose: threads (and static destructors) may still count
+/// during process teardown, after a destructible registry would be gone.
+struct Registry {
+  std::mutex mutex;
+  std::vector<Shard*> live;
+  std::atomic<uint64_t> retired[kNumCounters] = {};
+};
+
+Registry& GetRegistry() {
+  static Registry* registry = new Registry;
+  return *registry;
+}
+
+/// Set once this thread's shard has been folded into `retired`, so a later
+/// Add (from another thread_local's destructor) does not register a shard
+/// whose owner would never be destroyed again.
+thread_local constinit bool t_retired = false;
+
+/// Folds the thread's shard into the retired totals at thread exit.
+struct ShardOwner {
+  Shard* shard = nullptr;
+
+  ~ShardOwner() {
+    if (shard == nullptr) return;
+    Registry& registry = GetRegistry();
+    {
+      std::lock_guard<std::mutex> lock(registry.mutex);
+      for (size_t i = 0; i < kNumCounters; ++i) {
+        registry.retired[i].fetch_add(
+            shard->values[i].load(std::memory_order_relaxed),
+            std::memory_order_relaxed);
+      }
+      auto it = std::find(registry.live.begin(), registry.live.end(), shard);
+      *it = registry.live.back();
+      registry.live.pop_back();
+    }
+    t_shard = nullptr;
+    t_retired = true;
+    delete shard;
+  }
+};
+
+thread_local ShardOwner t_owner;
+
+/// Sums the live shards and the retired totals. Caller holds the mutex.
+uint64_t SumLocked(const Registry& registry, size_t i) {
+  uint64_t total = registry.retired[i].load(std::memory_order_relaxed);
+  for (const Shard* shard : registry.live) {
+    total += shard->values[i].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+}  // namespace
+
+void AddUnsharded(Counter counter, uint64_t delta) noexcept {
+  const size_t i = static_cast<size_t>(counter);
+  Registry& registry = GetRegistry();
+  if (t_retired) {
+    registry.retired[i].fetch_add(delta, std::memory_order_relaxed);
+    return;
+  }
+  Shard* shard = new Shard;
+  shard->values[i].store(delta, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    registry.live.push_back(shard);
+  }
+  t_shard = shard;
+  t_owner.shard = shard;  // first use arms the owner's destructor
+}
 
 }  // namespace internal_counters
 
@@ -109,11 +185,18 @@ const char* CounterName(Counter counter) {
   return "unknown";
 }
 
+uint64_t Value(Counter counter) noexcept {
+  internal_counters::Registry& registry = internal_counters::GetRegistry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  return internal_counters::SumLocked(registry, static_cast<size_t>(counter));
+}
+
 CounterSnapshot SnapshotCounters() noexcept {
+  internal_counters::Registry& registry = internal_counters::GetRegistry();
   CounterSnapshot snapshot;
+  std::lock_guard<std::mutex> lock(registry.mutex);
   for (size_t i = 0; i < kNumCounters; ++i) {
-    snapshot.values[i] = internal_counters::g_counters[i].value.load(
-        std::memory_order_relaxed);
+    snapshot.values[i] = internal_counters::SumLocked(registry, i);
   }
   return snapshot;
 }
@@ -128,9 +211,20 @@ CounterSnapshot SnapshotDelta(const CounterSnapshot& before,
 }
 
 void ResetCountersForTest() noexcept {
+  internal_counters::Registry& registry = internal_counters::GetRegistry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
   for (size_t i = 0; i < kNumCounters; ++i) {
-    internal_counters::g_counters[i].value.store(0, std::memory_order_relaxed);
+    registry.retired[i].store(0, std::memory_order_relaxed);
+    for (internal_counters::Shard* shard : registry.live) {
+      shard->values[i].store(0, std::memory_order_relaxed);
+    }
   }
+}
+
+size_t LiveCounterShardsForTest() noexcept {
+  internal_counters::Registry& registry = internal_counters::GetRegistry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  return registry.live.size();
 }
 
 }  // namespace obs

@@ -9,14 +9,20 @@
 namespace hwf {
 namespace obs {
 
-/// Process-wide event counters, one relaxed atomic per slot.
+/// Process-wide event counters, sharded per thread.
 ///
-/// Counters are always compiled in (unlike trace spans): each increment is a
-/// single relaxed fetch_add on a dedicated cache line, cheap enough for the
-/// library's per-task / per-run granularity. Hot loops batch their deltas
-/// (e.g. one add per merged run, not per element). Counters only ever grow;
-/// consumers that want per-execution numbers capture a snapshot before and
-/// after and subtract (ExecutionProfile does exactly that).
+/// Counters are always compiled in (unlike trace spans). Each thread's first
+/// Add registers a cache-line-aligned shard holding one slot per counter;
+/// afterwards only the owning thread writes its shard, with a relaxed load +
+/// store and no locked instruction, so increments from a worker pool never
+/// contend on a shared cache line and are cheap enough for per-probe call
+/// sites (the scalar tree descent counts every cascade step). Readers
+/// (SnapshotCounters, Value) sum the live shards plus a `retired` array under
+/// a registry mutex that is taken only at thread start, thread exit and read
+/// time; an exiting thread folds its shard into `retired`, so totals survive
+/// thread exit. Counters only ever grow; consumers that want per-execution
+/// numbers capture a snapshot before and after and subtract
+/// (ExecutionProfile does exactly that).
 enum class Counter : size_t {
   // Parallel runtime.
   kPoolTasksSubmitted,    // tasks enqueued on a ThreadPool
@@ -94,27 +100,38 @@ const char* CounterName(Counter counter);
 
 namespace internal_counters {
 
-/// One counter per cache line so concurrent increments of different
-/// counters never false-share.
-struct alignas(64) Slot {
-  std::atomic<uint64_t> value{0};
+/// One thread's counter slots. Written only by its owning thread; read by
+/// snapshots under the registry mutex, hence atomics (relaxed) throughout.
+struct alignas(64) Shard {
+  std::atomic<uint64_t> values[kNumCounters] = {};
 };
 
-extern Slot g_counters[kNumCounters];
+/// The calling thread's shard, or null before its first Add and after its
+/// shard was folded at thread exit.
+inline thread_local constinit Shard* t_shard = nullptr;
+
+/// Slow path of Add: registers the thread's shard (first Add), or counts
+/// straight into the retired totals once the shard is gone (an Add from a
+/// thread_local destructor that runs after the fold).
+void AddUnsharded(Counter counter, uint64_t delta) noexcept;
 
 }  // namespace internal_counters
 
-/// Adds `delta` to `counter`. Relaxed; safe from any thread.
+/// Adds `delta` to `counter`. Safe from any thread; touches only the calling
+/// thread's shard.
 inline void Add(Counter counter, uint64_t delta = 1) noexcept {
-  internal_counters::g_counters[static_cast<size_t>(counter)].value.fetch_add(
-      delta, std::memory_order_relaxed);
+  internal_counters::Shard* shard = internal_counters::t_shard;
+  if (shard == nullptr) [[unlikely]] {
+    internal_counters::AddUnsharded(counter, delta);
+    return;
+  }
+  std::atomic<uint64_t>& slot = shard->values[static_cast<size_t>(counter)];
+  slot.store(slot.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
 }
 
-/// Current value of `counter`.
-inline uint64_t Value(Counter counter) noexcept {
-  return internal_counters::g_counters[static_cast<size_t>(counter)]
-      .value.load(std::memory_order_relaxed);
-}
+/// Current total of `counter` across every thread, live and exited.
+uint64_t Value(Counter counter) noexcept;
 
 /// A plain copy of every counter at one point in time.
 struct CounterSnapshot {
@@ -133,10 +150,13 @@ CounterSnapshot SnapshotCounters() noexcept;
 CounterSnapshot SnapshotDelta(const CounterSnapshot& before,
                               const CounterSnapshot& after) noexcept;
 
-/// Resets every counter to zero. Test-only: concurrent increments during a
-/// reset are not atomically accounted; production readers should use
-/// snapshots + deltas instead.
+/// Resets every counter to zero: every live shard and the retired totals.
+/// Test-only: an owner's increment racing the reset may survive it or undo
+/// it; production readers should use snapshots + deltas instead.
 void ResetCountersForTest() noexcept;
+
+/// Number of threads with a live (not yet folded) counter shard. Test-only.
+size_t LiveCounterShardsForTest() noexcept;
 
 /// Tracks counter activity since a baseline snapshot.
 ///

@@ -218,21 +218,29 @@ void QueryService::GarbageCollectDeadEpochs() {
 }
 
 void QueryService::ExportTableGauges(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (registry_ == nullptr) return;
-  if (std::find(gauge_tables_.begin(), gauge_tables_.end(), name) !=
-      gauge_tables_.end()) {
-    return;
+  // Claim the table under the service lock, but register the gauges after
+  // releasing it: a scrape holds the registry lock while the service gauges
+  // call stats(), which takes the service lock, so AddGauge under mutex_
+  // would invert that order and can deadlock against a concurrent METRICS.
+  obs::MetricsRegistry* registry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (registry_ == nullptr) return;
+    if (std::find(gauge_tables_.begin(), gauge_tables_.end(), name) !=
+        gauge_tables_.end()) {
+      return;
+    }
+    gauge_tables_.push_back(name);
+    registry = registry_;
   }
-  gauge_tables_.push_back(name);
   auto table_gauge = [&](const char* metric, const char* help, auto getter) {
-    registry_->AddGauge(metric, help, {{"table", name}},
-                        [this, name, getter]() -> double {
-                          StatusOr<Catalog::TableMeta> meta =
-                              catalog_.PeekMeta(name);
-                          if (!meta.ok()) return 0.0;
-                          return static_cast<double>(getter(*meta));
-                        });
+    registry->AddGauge(metric, help, {{"table", name}},
+                       [this, name, getter]() -> double {
+                         StatusOr<Catalog::TableMeta> meta =
+                             catalog_.PeekMeta(name);
+                         if (!meta.ok()) return 0.0;
+                         return static_cast<double>(getter(*meta));
+                       });
   };
   table_gauge("hwf_catalog_epoch", "table registration epoch",
               [](const Catalog::TableMeta& m) { return m.epoch; });

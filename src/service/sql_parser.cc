@@ -626,6 +626,26 @@ StatusOr<WindowFunctionCall> BindCall(const Table& table, const RawCall& raw) {
   return call;
 }
 
+/// SQL frame-bound combinations the standard forbids beyond the two
+/// UNBOUNDED cases ValidateWindowSpec checks: a frame that starts at the
+/// current row cannot end before it, and one that ends at the current row
+/// cannot start after it (MariaDB's Window_frame::check_frame_bounds). The
+/// library API still evaluates such frames, as empty ones; only SQL text
+/// rejects them.
+Status CheckFrameBoundOrder(const FrameSpec& frame) {
+  if (frame.begin.kind == FrameBoundKind::kCurrentRow &&
+      frame.end.kind == FrameBoundKind::kPreceding) {
+    return Status::InvalidArgument(
+        "frame starting at CURRENT ROW cannot end with PRECEDING");
+  }
+  if (frame.end.kind == FrameBoundKind::kCurrentRow &&
+      frame.begin.kind == FrameBoundKind::kFollowing) {
+    return Status::InvalidArgument(
+        "frame ending at CURRENT ROW cannot start with FOLLOWING");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<ParsedStatement> ParseStatement(std::string_view sql) {
@@ -647,6 +667,7 @@ StatusOr<PlannedQuery> BindStatement(const ParsedStatement& statement,
     StatusOr<WindowFunctionCall> call = BindCall(table, raw);
     if (!call.ok()) return call.status();
     if (Status s = ValidateWindowSpec(table, *spec); !s.ok()) return s;
+    if (Status s = CheckFrameBoundOrder(spec->frame); !s.ok()) return s;
     if (Status s = ValidateWindowCall(table, *spec, *call); !s.ok()) return s;
     plan.output_names.push_back(raw.alias.empty() ? raw.function : raw.alias);
     // Group by the spec's canonical structural equality (window/spec.h):

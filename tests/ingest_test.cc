@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -698,6 +699,61 @@ TEST(IngestMetrics, RegistryExportsEpochMinorAndDeltaGauges) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("hwf_ingest_rows_appended_total"), std::string::npos);
+}
+
+// A scrape holds the registry lock while the service gauges take the
+// service lock; registering a table must not take them in the other order.
+// Scrapes race first registrations and appends of many tables; a lock-order
+// inversion deadlocks the two threads, which the watchdog reports.
+TEST(IngestMetrics, ScrapesRacingRegistrationsDoNotDeadlock) {
+  ServiceOptions options;
+  options.auto_compact = false;
+  QueryService svc(options);
+  obs::MetricsRegistry registry;
+  obs::RegisterProcessCounters(&registry);
+  svc.RegisterMetrics(&registry);
+
+  constexpr int kTables = 200;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> scrapes{0};
+  std::atomic<int> registered{0};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (!registry.RenderText().empty()) scrapes.fetch_add(1);
+      // Leave the writer room: a scraper that re-takes the registry lock
+      // back to back starves AddGauge without any inversion.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::thread writer([&] {
+    for (int i = 0; i < kTables; ++i) {
+      const std::string name = "g" + std::to_string(i);
+      svc.RegisterTable(name, MakeKeyed({1, 2}, {10, 20}));
+      EXPECT_TRUE(svc.AppendRows(name, MakeKeyed({3}, {30})).ok());
+      registered.fetch_add(1);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr,
+                   "registration and scrape deadlocked after %d tables, "
+                   "%zu scrapes\n",
+                   registered.load(), scrapes.load());
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  writer.join();
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0u);
+  const std::string text = registry.RenderText();
+  EXPECT_NE(text.find("hwf_table_delta_rows{table=\"g" +
+                      std::to_string(kTables - 1) + "\"} 1"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

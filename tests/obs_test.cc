@@ -1,8 +1,11 @@
 // Tests of the observability layer: span recording and thread
-// attribution, Chrome trace JSON structure, counter atomicity, and
+// attribution, Chrome trace JSON structure, per-thread counter shards, and
 // ExecutionProfile aggregation through the window executor.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +145,128 @@ TEST_F(ObsTest, CountersAreAtomicUnderParallelFor) {
   EXPECT_EQ(delta[obs::Counter::kMstCascadeLookups], kN);
   // The runner instrumentation itself is visible too.
   EXPECT_GT(delta[obs::Counter::kParallelForMorsels], 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-thread counter shards
+// ---------------------------------------------------------------------------
+
+TEST(CounterShards, ConcurrentAddsSumExactly) {
+  constexpr int kThreads = 8;
+  constexpr uint64_t kAdds = 20000;
+  const obs::CounterSnapshot before = obs::SnapshotCounters();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (uint64_t i = 0; i < kAdds; ++i) {
+        obs::Add(obs::Counter::kMstCascadeLookups);
+        obs::Add(obs::Counter::kMstMergeElementsMoved, 3);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const obs::CounterSnapshot delta =
+      obs::SnapshotDelta(before, obs::SnapshotCounters());
+  EXPECT_EQ(delta[obs::Counter::kMstCascadeLookups], kThreads * kAdds);
+  EXPECT_EQ(delta[obs::Counter::kMstMergeElementsMoved], 3 * kThreads * kAdds);
+}
+
+TEST(CounterShards, ExitedThreadsCountsSurvive) {
+  const uint64_t value_before = obs::Value(obs::Counter::kCacheInsertBytes);
+  const obs::CounterSnapshot before = obs::SnapshotCounters();
+  const size_t live_before = obs::LiveCounterShardsForTest();
+  std::thread([] { obs::Add(obs::Counter::kCacheInsertBytes, 41); }).join();
+  std::thread([] { obs::Add(obs::Counter::kCacheInsertBytes, 1); }).join();
+  // Both threads are gone and their shards with them; the totals are not.
+  EXPECT_EQ(obs::LiveCounterShardsForTest(), live_before);
+  EXPECT_EQ(obs::Value(obs::Counter::kCacheInsertBytes) - value_before, 42u);
+  EXPECT_EQ(obs::SnapshotDelta(before, obs::SnapshotCounters())
+                [obs::Counter::kCacheInsertBytes],
+            42u);
+}
+
+TEST(CounterShards, SnapshotsNeverDecreaseWhileThreadsComeAndGo) {
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int round = 0; round < 200; ++round) {
+      std::thread a([] { obs::Add(obs::Counter::kPoolIdleWakeups, 5); });
+      std::thread b([] { obs::Add(obs::Counter::kPoolIdleWakeups, 7); });
+      a.join();
+      b.join();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  uint64_t last = obs::SnapshotCounters()[obs::Counter::kPoolIdleWakeups];
+  uint64_t last_value = obs::Value(obs::Counter::kPoolIdleWakeups);
+  size_t decreases = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    const uint64_t now =
+        obs::SnapshotCounters()[obs::Counter::kPoolIdleWakeups];
+    const uint64_t now_value = obs::Value(obs::Counter::kPoolIdleWakeups);
+    decreases += now < last;
+    decreases += now_value < last_value;
+    last = now;
+    last_value = now_value;
+  }
+  churn.join();
+  EXPECT_EQ(decreases, 0u);
+}
+
+TEST(CounterShards, ResetClearsLiveAndRetiredShards) {
+  // One thread exits (its counts are folded into the retired totals) and
+  // one stays alive holding a live shard while the reset runs.
+  std::thread([] { obs::Add(obs::Counter::kMemSpillBytesRead, 10); }).join();
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool added = false;
+  bool reset = false;
+  std::thread live([&] {
+    obs::Add(obs::Counter::kMemSpillBytesRead, 20);
+    std::unique_lock<std::mutex> lock(mutex);
+    added = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return reset; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return added; });
+  }
+  obs::Add(obs::Counter::kMemSpillBytesRead, 30);  // this thread's shard
+  ASSERT_GE(obs::Value(obs::Counter::kMemSpillBytesRead), 60u);
+
+  obs::ResetCountersForTest();
+  EXPECT_EQ(obs::Value(obs::Counter::kMemSpillBytesRead), 0u);
+  const obs::CounterSnapshot zero = obs::SnapshotCounters();
+  for (size_t i = 0; i < obs::kNumCounters; ++i) EXPECT_EQ(zero.values[i], 0u);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    reset = true;
+  }
+  cv.notify_all();
+  live.join();
+  // The live thread's cleared shard folds in as zero.
+  EXPECT_EQ(obs::Value(obs::Counter::kMemSpillBytesRead), 0u);
+}
+
+/// Counts one event when destroyed at thread exit.
+struct AddOnThreadExit {
+  ~AddOnThreadExit() { obs::Add(obs::Counter::kMemSpillFilesCreated); }
+};
+
+TEST(CounterShards, AddFromThreadLocalDestructorAfterRetirementCounts) {
+  const uint64_t before = obs::Value(obs::Counter::kMemSpillFilesCreated);
+  const size_t live_before = obs::LiveCounterShardsForTest();
+  std::thread([] {
+    // Constructed before the thread's first Add, so destroyed after the
+    // counter shard has been folded at thread exit.
+    static thread_local AddOnThreadExit late;
+    (void)&late;
+    obs::Add(obs::Counter::kMemSpillFilesCreated);
+  }).join();
+  EXPECT_EQ(obs::Value(obs::Counter::kMemSpillFilesCreated) - before, 2u);
+  // The late Add went to the retired totals; it did not register a new
+  // shard that no thread would ever fold.
+  EXPECT_EQ(obs::LiveCounterShardsForTest(), live_before);
 }
 
 TEST_F(ObsTest, ExecutorProfilePhasesSumWithinWallTime) {

@@ -277,6 +277,35 @@ TEST(SqlParser, RejectsMalformedStatements) {
   }
 }
 
+TEST(SqlParser, RejectsFramesThatEndBeforeTheyStart) {
+  // The standard (and MariaDB's Window_frame::check_frame_bounds) forbids a
+  // frame starting at the current row and ending PRECEDING, or ending at the
+  // current row and starting FOLLOWING, in every frame mode.
+  Table table = test::MakeRandomTable(20, 6);
+  for (const char* mode : {"rows", "range", "groups"}) {
+    for (const char* bounds :
+         {"current row and 2 preceding", "2 following and current row",
+          "current row and off preceding", "off following and current row"}) {
+      const std::string sql = std::string("select sum(val) over (order by ") +
+                              "ord " + mode + " between " + bounds +
+                              ") from t";
+      StatusOr<PlannedQuery> plan = PlanQuery(sql, table);
+      ASSERT_FALSE(plan.ok()) << "accepted: " << sql;
+      EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << sql;
+    }
+  }
+  // The neighbouring legal forms stay accepted.
+  for (const char* bounds :
+       {"current row and 2 following", "2 preceding and current row",
+        "current row and current row", "2 following and 3 following",
+        "3 preceding and 2 preceding"}) {
+    const std::string sql =
+        std::string("select sum(val) over (order by ord rows between ") +
+        bounds + ") from t";
+    EXPECT_TRUE(PlanQuery(sql, table).ok()) << sql;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Service: execution, admission, cancellation, cache
 // ---------------------------------------------------------------------------

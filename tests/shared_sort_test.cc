@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "mem/memory_budget.h"
 #include "mst/tree_cache.h"
 #include "obs/counters.h"
 #include "tests/window_test_util.h"
@@ -370,29 +372,52 @@ TEST(SharedSortExecution, IngestDeltaStateBitIdentical) {
   Table base = MakeRandomTable(base_rows, 53);
   Table full = MakeRandomTable(6000, 53);
 
-  mst::TreeCache cache(64 << 20);
-  WindowExecutorOptions warm;
-  warm.tree_cache = &cache;
-  warm.cache_key = "c.n" + std::to_string(base_rows);
-  warm.content_cache_key = "c";
+  // The limit an execution with memory_limit_bytes == 0 runs under: the
+  // forced-spill job supplies one through HWF_TEST_MEMORY_LIMIT.
+  size_t env_limit = 0;
+  if (const char* env = std::getenv("HWF_TEST_MEMORY_LIMIT")) {
+    mem::ParseMemorySize(env, &env_limit);
+  }
 
   std::vector<SpecAndCalls> workload = MixedWorkload();
   std::vector<WindowSpecGroup> groups;
   for (const SpecAndCalls& entry : workload) {
     groups.push_back(WindowSpecGroup{&entry.spec, entry.calls});
   }
-  // Warm the base state's sort artifacts.
-  StatusOr<std::vector<std::vector<Column>>> warmed =
-      EvaluateWindowSpecGroups(base, groups, warm);
-  ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
+  // Results are bit-identical with and without a memory limit. The delta
+  // merge of the cached base sort runs only when no limit is in force:
+  // the tree cache is engaged only for unbudgeted executions (executor.h),
+  // so a budgeted query sorts cold.
+  for (const size_t memory_limit : {size_t{0}, size_t{8} << 20}) {
+    const size_t effective_limit = memory_limit != 0 ? memory_limit
+                                                     : env_limit;
+    const std::string context =
+        "ingest-delta, limit " + std::to_string(effective_limit);
+    mst::TreeCache cache(64 << 20);
+    WindowExecutorOptions warm;
+    warm.tree_cache = &cache;
+    warm.cache_key = "c.n" + std::to_string(base_rows);
+    warm.content_cache_key = "c";
+    // Warm the base state's sort artifacts.
+    StatusOr<std::vector<std::vector<Column>>> warmed =
+        EvaluateWindowSpecGroups(base, groups, warm);
+    ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
 
-  WindowExecutorOptions delta = warm;
-  delta.cache_key = "c.n" + std::to_string(full.num_rows());
-  delta.delta_base_rows = base_rows;
-  delta.delta_base_key = warm.cache_key;
-  const obs::CounterDeltaTracker tracker;
-  ExpectMultiSpecMatchesPerSpec(full, workload, delta, {}, "ingest-delta");
-  EXPECT_GT(tracker.DeltaOf(obs::Counter::kIngestDeltaMerges), 0u);
+    WindowExecutorOptions delta = warm;
+    delta.memory_limit_bytes = memory_limit;
+    delta.cache_key = "c.n" + std::to_string(full.num_rows());
+    delta.delta_base_rows = base_rows;
+    delta.delta_base_key = warm.cache_key;
+    const obs::CounterDeltaTracker tracker;
+    ExpectMultiSpecMatchesPerSpec(full, workload, delta, {}, context);
+    if (effective_limit == 0) {
+      EXPECT_GT(tracker.DeltaOf(obs::Counter::kIngestDeltaMerges), 0u)
+          << context;
+    } else {
+      EXPECT_EQ(tracker.DeltaOf(obs::Counter::kIngestDeltaMerges), 0u)
+          << context;
+    }
+  }
 }
 
 }  // namespace
